@@ -310,7 +310,8 @@ class CampaignCache:
 JOURNAL_MAGIC = b"RJN1"
 
 #: Journal schema carried in meta.json; bump to orphan old checkpoints.
-JOURNAL_SCHEMA = 1
+#: Schema 2: journaled units carry their rows as ``RecordColumns``.
+JOURNAL_SCHEMA = 2
 
 _JOURNAL_META = "meta.json"
 _JOURNAL_FILE = "journal.bin"

@@ -9,7 +9,7 @@ Orchestrates every substrate into the study the paper ran:
 3. run every fault model against the session tracks;
 4. render observations into scanner ERROR records (addresses through the
    per-node address map, temperatures through the environment model) and
-   collect them into a per-node log archive.
+   collect them into a per-node columnar log archive.
 
 The result object carries both the logs (what the study's disks held) and
 the session tracks (ground-truth coverage), which the analysis package
@@ -21,16 +21,15 @@ Execution
 Steps 2-4 are *per-node independent*: every node's session track, fault
 models and record rendering consume only per-node RNG streams (pure
 functions of ``(seed, key)``), so the campaign fans the per-node work out
-over the :mod:`repro.parallel` backends.  The only cross-node stages — the
-Table I catalogue (one sequential RNG stream threading companion/pair
-bookkeeping across nodes) and archive assembly — stay in the parent.
-Serial, thread and process runs of the same seed produce bit-identical
-archives and tracks.
+through :func:`repro.parallel.supervised_map` on any backend.  The only
+cross-node stages — the Table I catalogue (one sequential RNG stream
+threading companion/pair bookkeeping across nodes) and archive assembly
+— stay in the parent.  Serial, thread and process runs of the same seed
+produce bit-identical archives and tracks.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -40,19 +39,16 @@ import numpy as np
 
 from ..cluster.registry import ClusterRegistry
 from ..cluster.topology import OVERHEATING_SOC, NodeId
+from ..core.errors import CheckpointError, SimulationError
 from ..core.records import EndRecord, ErrorRecord, StartRecord
 from ..core.rng import RngFactory
 from ..core.units import SCAN_TARGET_MB
 from ..dram.addressing import AddressMap, stable_salt
 from ..environment.temperature import TemperatureModel
-from ..logs.columnar import ColumnarArchive
+from ..logs.columnar import ColumnarArchive, RecordColumns, canonical_sort_order
 from ..logs.frame import ErrorFrame
-from ..logs.store import LogArchive
 from ..parallel import (
     RetryPolicy,
-    ShardArena,
-    ShardTicket,
-    parallel_map,
     resolve_backend,
     resolve_workers,
     supervised_map,
@@ -209,10 +205,7 @@ class CampaignResult:
     config: CampaignConfig
     registry: ClusterRegistry
     tracks: dict[str, SessionTrack]
-    #: Fresh runs carry the record-object archive; results reloaded from
-    #: the campaign cache carry its columnar twin (same query API, and
-    #: ``error_frame`` is bit-identical between the two).
-    archive: LogArchive | ColumnarArchive
+    archive: ColumnarArchive
     n_observations: int
     _frames: dict = field(default_factory=dict, repr=False)
     #: Execution counters of the run that produced this result (None for
@@ -230,12 +223,7 @@ class CampaignResult:
         return self.archive.n_raw_error_lines()
 
     def raw_frame(self) -> ErrorFrame:
-        """All ERROR records as an array table (pre-extraction).
-
-        Dispatches to the archive's own ``error_frame`` — the vectorized
-        columnar path when the result came from the cache, the record
-        loop on fresh runs; both produce bit-identical frames.
-        """
+        """All ERROR records as an array table (pre-extraction)."""
         if "raw" not in self._frames:
             self._frames["raw"] = self.archive.error_frame().sorted_by_time()
         return self._frames["raw"]
@@ -266,19 +254,13 @@ class CampaignResult:
 
     # -- persistence -------------------------------------------------------
 
-    def columnar_archive(self) -> ColumnarArchive:
-        """The archive in columnar form (no-op if already columnar)."""
-        if isinstance(self.archive, ColumnarArchive):
-            return self.archive
-        return ColumnarArchive.from_log_archive(self.archive)
-
     def save(self, path) -> None:
         """Persist the campaign (config, tracks, logs) to a directory.
 
         Pickle is appropriate here: the artifact is a local checkpoint of
         a deterministic simulation, not an interchange format — the log
-        directory written by :meth:`LogArchive.write_directory` remains
-        the portable representation.  The archive is stored columnar:
+        directory written by :meth:`ColumnarArchive.write_text_directory`
+        remains the portable representation.  The archive is columnar:
         pickling a handful of NumPy arrays per node is far smaller and
         faster than pickling millions of record dataclasses.
         """
@@ -290,7 +272,7 @@ class CampaignResult:
         payload = {
             "config": self.config,
             "tracks": self.tracks,
-            "archive": self.columnar_archive(),
+            "archive": self.archive,
             "n_observations": self.n_observations,
             "degraded": self.degraded,
         }
@@ -436,18 +418,11 @@ class _NodeResult:
     node: str
     track: SessionTrack
     n_observations: int
-    records: list[ErrorRecord]
-    lifecycle: list
+    #: The unit's ERROR rows followed by its START/END rows (the latter
+    #: only with ``materialize_lifecycle``), columnarized in the worker.
+    #: None once the rows live in a streamed archive instead.
+    columns: RecordColumns | None
     seconds: float
-    #: True once the streaming sink committed this unit's records to a
-    #: live archive (``records``/``lifecycle`` are then empty).  Default
-    #: False keeps journals from pre-streaming runs loadable.
-    streamed: bool = False
-    #: Claim check for columns the worker spilled to the shard arena
-    #: instead of pickling through the result (``records``/``lifecycle``
-    #: are then already empty).  Cleared before journaling so checkpoint
-    #: entries never reference the run-scoped arena directory.
-    shard: ShardTicket | None = None
 
 
 def _simulate_node(ctx: _CampaignContext, name: str) -> _NodeResult:
@@ -506,13 +481,12 @@ def _simulate_node(ctx: _CampaignContext, name: str) -> _NodeResult:
         )
 
     # -- render -------------------------------------------------------------
-    records = ctx.render(observations)
-    lifecycle: list = []
+    records: list = ctx.render(observations)
     if ctx.materialize_lifecycle:
         node_id = ctx.node_id(name)
         for i in range(track.n_sessions):
             t0, t1 = float(track.starts[i]), float(track.ends[i])
-            lifecycle.append(
+            records.append(
                 StartRecord(
                     timestamp_hours=t0,
                     node=name,
@@ -520,7 +494,7 @@ def _simulate_node(ctx: _CampaignContext, name: str) -> _NodeResult:
                     temperature_c=ctx.temperature.reading(node_id, t0),
                 )
             )
-            lifecycle.append(
+            records.append(
                 EndRecord(
                     timestamp_hours=t1,
                     node=name,
@@ -531,34 +505,20 @@ def _simulate_node(ctx: _CampaignContext, name: str) -> _NodeResult:
         node=name,
         track=track,
         n_observations=len(observations),
-        records=records,
-        lifecycle=lifecycle,
+        columns=RecordColumns.from_records(records),
         seconds=time.perf_counter() - t_begin,
     )
 
 
-#: Per-process context for the process backend (set by the pool initializer).
+#: The context every unit runs against: installed by the pool initializer
+#: in each worker process, and in the parent for the serial and thread
+#: backends (so a process runs one campaign at a time).
 _WORKER_CTX: _CampaignContext | None = None
 
-#: Spill arena for streaming process runs (set alongside the context).
-_WORKER_ARENA: ShardArena | None = None
 
-#: Environment switch for the worker-side mmap handoff; set to ``0`` to
-#: force streamed process campaigns back to pickled record lists.
-SHARD_HANDOFF_ENV = "REPRO_SHARD_HANDOFF"
-
-
-def _init_worker(config: CampaignConfig, materialize_lifecycle: bool) -> None:
+def _init_worker(ctx: _CampaignContext) -> None:
     global _WORKER_CTX
-    _WORKER_CTX = _CampaignContext(config, materialize_lifecycle)
-
-
-def _init_worker_streaming(
-    config: CampaignConfig, materialize_lifecycle: bool, arena_root: str
-) -> None:
-    global _WORKER_ARENA
-    _init_worker(config, materialize_lifecycle)
-    _WORKER_ARENA = ShardArena(arena_root)
+    _WORKER_CTX = ctx
 
 
 def _node_worker(name: str) -> _NodeResult:
@@ -566,29 +526,31 @@ def _node_worker(name: str) -> _NodeResult:
     return _simulate_node(_WORKER_CTX, name)
 
 
-def _node_worker_spill(name: str) -> _NodeResult:
-    """Streaming process unit: columnarize + spill in the worker.
+class _MemorySink:
+    """In-memory stand-in for :class:`~repro.logs.ingest.LiveArchive`.
 
-    The worker does the columnarization (in parallel, instead of the
-    supervising process) and ships the arrays through the shard arena;
-    only the small :class:`~repro.parallel.ShardTicket` rides the result
-    pickle, so handoff cost no longer scales with a node's record count.
+    Takes the same ``append_batch`` commits and assembles them into a
+    :class:`ColumnarArchive` whose per-node rows are in the archive's
+    canonical order.
     """
-    assert _WORKER_ARENA is not None, "spill worker used before initialization"
-    from ..logs.columnar import RecordColumns
 
-    result = _node_worker(name)
-    columns = RecordColumns.from_records(
-        list(result.records) + list(result.lifecycle)
-    )
-    result.records = []
-    result.lifecycle = []
-    result.shard = _WORKER_ARENA.spill(
-        name.replace("/", "_"),
-        columns.to_arrays(),
-        meta={"node_names": list(columns.node_names)},
-    )
-    return result
+    def __init__(self) -> None:
+        self.batches: dict[str, RecordColumns] = {}
+
+    @property
+    def committed_batches(self) -> list[str]:
+        return list(self.batches)
+
+    def append_batch(self, batches: dict[str, RecordColumns]) -> None:
+        self.batches.update(batches)
+
+    def archive(self) -> ColumnarArchive:
+        merged = RecordColumns.concat(list(self.batches.values()))
+        merged = merged.take(
+            canonical_sort_order(merged.t, merged.kind, group=merged.node_code)
+        )
+        per_node = merged.split_by_node()
+        return ColumnarArchive({name: per_node[name] for name in sorted(per_node)})
 
 
 def run_campaign(
@@ -611,13 +573,23 @@ def run_campaign(
     the archive (memory-heavy at paper scale; useful for round-trip tests
     on small configurations).
 
-    ``workers``/``backend`` override the config's execution fields: the
-    per-node phase fans out over :func:`repro.parallel.parallel_map`.
-    Results are bit-identical across backends for the same seed.
+    Every run is one pipeline.  The per-node units fan out through
+    :func:`repro.parallel.supervised_map` on the backend named by
+    ``workers``/``backend`` (overriding the config's execution fields);
+    each unit returns its rows already columnarized.  Finished units are
+    committed to a sink as named batches (``unit:<node>``, then
+    ``catalogue``), and the sink becomes :attr:`CampaignResult.archive`,
+    always a :class:`ColumnarArchive`.  Results are bit-identical across
+    backends for the same seed.
 
-    Fault tolerance (any of ``retry``/``unit_timeout``/``chaos``/
-    ``checkpoint_dir`` routes the per-node fan-out through
-    :func:`repro.parallel.supervised_map`):
+    ``stream_to`` makes the sink a live columnar archive on disk
+    (:class:`repro.logs.ingest.LiveArchive`): every ``stream_flush_nodes``
+    finished units are committed as one level-0 segment and dropped from
+    parent RAM, and the result carries a lazily-loaded archive over that
+    directory.  Without it the sink is held in memory and assembled into
+    the archive at the end.
+
+    Fault tolerance:
 
     * ``retry`` re-runs a failed node within its budget — per-node RNG
       streams are pure functions of ``(seed, key)`` and units are
@@ -625,33 +597,18 @@ def run_campaign(
     * ``unit_timeout`` is the per-node watchdog (process backend);
     * ``checkpoint_dir`` journals each completed node durably, and
       ``resume=True`` restores completed nodes from a prior interrupted
-      run of the *same* configuration instead of recomputing them;
-    * nodes that exhaust the budget are reported in
-      :attr:`CampaignResult.degraded` (the paper's dead-blade
-      accounting), never raised;
+      run of the *same* configuration instead of recomputing them.  A
+      unit is journaled only after its rows are committed to the sink,
+      and the sink's batch ledger drops any unit replayed after a
+      crash, so a streamed resume is exactly-once;
     * ``chaos`` (a :class:`repro.chaos.ChaosPlan`) injects deterministic
       failures for testing.
 
-    ``stream_to`` routes finished units straight into a live columnar
-    archive (:class:`repro.logs.ingest.LiveArchive`) instead of holding
-    every node's records in parent RAM: each unit's records are
-    columnarized and stripped from the in-memory result as they arrive,
-    and every ``stream_flush_nodes`` completed units are committed as
-    one level-0 segment.  The returned :class:`CampaignResult` then
-    carries a lazily-loaded :class:`ColumnarArchive` over that
-    directory — bit-identical, record for record, to the batch
-    archive the same configuration would assemble in memory.  Streaming
-    composes with checkpointing: units are journaled only *after* their
-    records are durable in the archive, and the archive's batch ledger
-    dedups any unit replayed after a crash, so resume is exactly-once.
-
-    On the process backend, streamed units hand their columns over
-    through a :class:`repro.parallel.ShardArena`: the worker
-    columnarizes and spills ``.npy`` files, only a small ticket rides
-    the result pickle, and the parent claims the arrays back as
-    memory-mapped views — transfer cost stops scaling with record
-    count.  Set ``REPRO_SHARD_HANDOFF=0`` to fall back to pickled
-    record lists.
+    A run given any of ``retry``/``unit_timeout``/``chaos``/
+    ``checkpoint_dir``/``stream_to`` reports nodes that exhaust their
+    budget in :attr:`CampaignResult.degraded` (the paper's dead-blade
+    accounting) instead of raising; a run given none of them raises
+    :class:`SimulationError` when a unit fails.
     """
     t_begin = time.perf_counter()
     config = config or paper_campaign_config()
@@ -663,7 +620,7 @@ def run_campaign(
 
     ctx = _CampaignContext(config, materialize_lifecycle)
     names = list(ctx.nodes_by_name)
-    supervise = (
+    degrade = (
         retry is not None
         or unit_timeout is not None
         or chaos is not None
@@ -671,201 +628,109 @@ def run_campaign(
         or stream_to is not None
     )
 
-    degraded: DegradedResult | None = None
-    n_retries = n_timeouts = n_pool_rebuilds = n_resumed = 0
-
-    # -- parallel phase: per-node track + models + rendering ---------------
-    if not supervise:
-        if exec_backend == "process":
-            results: list[_NodeResult] = parallel_map(
-                _node_worker,
-                names,
-                backend="process",
-                workers=n_workers,
-                initializer=_init_worker,
-                initargs=(config, materialize_lifecycle),
-            )
-        else:
-            results = parallel_map(
-                lambda name: _simulate_node(ctx, name),
-                names,
-                backend=exec_backend,
-                workers=n_workers,
-            )
-    else:
+    journal = None
+    journaled: dict[str, _NodeResult] = {}
+    if checkpoint_dir is not None:
         from ..cache import CampaignJournal, config_digest
 
-        journal: CampaignJournal | None = None
-        journaled: dict[str, _NodeResult] = {}
-        if checkpoint_dir is not None:
-            journal = CampaignJournal(checkpoint_dir, config_digest(config))
-            known = set(names)
-            journaled = {
-                node: value
-                for node, value in journal.open(resume=resume).items()
-                if node in known
-            }
-        n_resumed = len(journaled)
-        remaining = [name for name in names if name not in journaled]
+        journal = CampaignJournal(checkpoint_dir, config_digest(config))
+        known = set(names)
+        journaled = {
+            node: value
+            for node, value in journal.open(resume=resume).items()
+            if node in known
+        }
+    remaining = [name for name in names if name not in journaled]
 
-        if stream_to is None and any(
-            getattr(value, "streamed", False) for value in journaled.values()
-        ):
-            from ..core.errors import CheckpointError
+    if stream_to is not None:
+        from ..logs.ingest import LiveArchive
 
-            raise CheckpointError(
-                "checkpoint journal holds streamed units whose records "
-                "live in their archive, not the journal: pass the same "
-                "stream_to= directory to resume this campaign"
-            )
+        sink = LiveArchive.create(stream_to)
+        flush_every = max(1, int(stream_flush_nodes))
+    elif any(value.columns is None for value in journaled.values()):
+        if journal is not None:
+            journal.close()
+        raise CheckpointError(
+            "checkpoint journal holds streamed units whose records "
+            "live in their archive, not the journal: pass the same "
+            "stream_to= directory to resume this campaign"
+        )
+    else:
+        sink = _MemorySink()
+        flush_every = 1
 
-        on_result = None
-        _flush_stream = None
-        arena: ShardArena | None = None
+    def commit(units: list[tuple[str, _NodeResult]]) -> None:
+        if not units:
+            return
+        sink.append_batch({f"unit:{key}": value.columns for key, value in units})
         if stream_to is not None:
-            from ..logs.columnar import RecordColumns
-            from ..logs.ingest import LiveArchive
+            # The rows are durable in the archive: drop them from RAM
+            # (and from the journal entries written next).
+            for _key, value in units:
+                value.columns = None
 
-            live = LiveArchive.create(stream_to)
-            flush_every = max(1, int(stream_flush_nodes))
-            stream_buffer: list[tuple[str, _NodeResult, RecordColumns]] = []
-            if (
-                exec_backend == "process"
-                and os.environ.get(SHARD_HANDOFF_ENV, "1") != "0"
-            ):
-                arena = ShardArena.create()
+    # Units journaled with their rows (by a run without stream_to)
+    # commit as one backlog batch; the ledger drops any already held.
+    commit([(n, v) for n, v in journaled.items() if v.columns is not None])
 
-            def _flush_stream() -> None:
-                if not stream_buffer:
-                    return
-                live.append_batch(
-                    {f"unit:{key}": cols for key, _value, cols in stream_buffer}
-                )
-                # Journal only after the records are durable in the
-                # archive (journaled => streamed).  A crash between the
-                # two re-runs the unit on resume; the archive's batch
-                # ledger dedups the replayed records.  Shard tickets are
-                # cleared first (journal entries must outlive the arena)
-                # and released last (claimed arrays are mmap-backed, so
-                # the spill must survive until append_batch copied it).
-                tickets = []
-                for _key, value, _cols in stream_buffer:
-                    ticket = getattr(value, "shard", None)
-                    if ticket is not None:
-                        tickets.append(ticket)
-                        value.shard = None
-                if journal is not None:
-                    for key, value, _cols in stream_buffer:
-                        journal.append(key, value)
-                if arena is not None:
-                    for ticket in tickets:
-                        arena.release(ticket)
-                stream_buffer.clear()
+    window: list[tuple[str, _NodeResult]] = []
 
-            def on_result(_i, key, value) -> None:
-                ticket = getattr(value, "shard", None)
-                if ticket is not None and arena is not None:
-                    # The worker already columnarized and spilled this
-                    # unit; claim the arrays back as read-only mmaps.
-                    cols = RecordColumns.from_arrays(
-                        arena.claim(ticket), ticket.meta["node_names"]
-                    )
-                else:
-                    cols = RecordColumns.from_records(
-                        list(value.records) + list(value.lifecycle)
-                    )
-                # Strip in place: `value` is the same object the
-                # supervisor keeps in its outcome, so the parent never
-                # holds more than one flush window of records in RAM.
-                value.records = []
-                value.lifecycle = []
-                value.streamed = True
-                stream_buffer.append((key, value, cols))
-                if len(stream_buffer) >= flush_every:
-                    _flush_stream()
+    def flush() -> None:
+        commit(window)
+        # Journal only after the rows are committed (journaled =>
+        # committed).  A crash between the two re-runs the unit on
+        # resume, and the ledger drops its replayed rows.
+        if journal is not None:
+            for key, value in window:
+                journal.append(key, value)
+        window.clear()
 
-            # Units journaled by an earlier *non-streaming* run still own
-            # their records: commit them as a backlog batch (the ledger
-            # dedups any already streamed) and strip them the same way.
-            backlog = {
-                f"unit:{name}": RecordColumns.from_records(
-                    list(value.records) + list(value.lifecycle)
-                )
-                for name, value in journaled.items()
-                if not getattr(value, "streamed", False)
-            }
-            if backlog:
-                live.append_batch(backlog)
-                for name, value in journaled.items():
-                    if not getattr(value, "streamed", False):
-                        value.records = []
-                        value.lifecycle = []
-                        value.streamed = True
-        elif journal is not None:
-            on_result = lambda _i, key, value: journal.append(key, value)  # noqa: E731
+    def on_result(_i, key, value) -> None:
+        window.append((key, value))
+        if len(window) >= flush_every:
+            flush()
 
-        try:
-            if exec_backend == "process":
-                if arena is not None:
-                    worker_fn = _node_worker_spill
-                    worker_init = _init_worker_streaming
-                    worker_initargs = (config, materialize_lifecycle, arena.root)
-                else:
-                    worker_fn = _node_worker
-                    worker_init = _init_worker
-                    worker_initargs = (config, materialize_lifecycle)
-                outcome = supervised_map(
-                    worker_fn,
-                    remaining,
-                    keys=remaining,
-                    backend="process",
-                    workers=n_workers,
-                    initializer=worker_init,
-                    initargs=worker_initargs,
-                    retry=retry,
-                    unit_timeout=unit_timeout,
-                    chaos=chaos,
-                    on_unit_result=on_result,
-                )
-            else:
-                outcome = supervised_map(
-                    lambda name: _simulate_node(ctx, name),
-                    remaining,
-                    keys=remaining,
-                    backend=exec_backend,
-                    workers=n_workers,
-                    retry=retry,
-                    unit_timeout=unit_timeout,
-                    chaos=chaos,
-                    on_unit_result=on_result,
-                )
-            if _flush_stream is not None:
-                _flush_stream()  # tail window, while the journal is open
-        finally:
-            if journal is not None:
-                journal.close()
-            if arena is not None:
-                arena.close()
+    try:
+        outcome = supervised_map(
+            _node_worker,
+            remaining,
+            keys=remaining,
+            backend=exec_backend,
+            workers=n_workers,
+            initializer=_init_worker,
+            initargs=(ctx,),
+            retry=retry,
+            unit_timeout=unit_timeout,
+            chaos=chaos,
+            on_unit_result=on_result,
+        )
+        flush()  # tail window, while the journal is open
+    finally:
+        if journal is not None:
+            journal.close()
 
-        by_name = dict(journaled)
-        for name, value in zip(remaining, outcome.values):
-            if value is not None:
-                by_name[name] = value
-        results = [by_name[name] for name in names if name in by_name]
-        n_retries = outcome.n_retries
-        n_timeouts = outcome.n_timeouts
-        n_pool_rebuilds = outcome.n_pool_rebuilds
-        if outcome.failures:
-            degraded = DegradedResult(
-                nodes=tuple(
-                    DegradedNode(
-                        node=f.key, attempts=f.attempts, kind=f.kind, error=f.error
-                    )
-                    for f in outcome.failures
-                ),
-                n_planned=len(names),
+    degraded: DegradedResult | None = None
+    if outcome.failures:
+        if not degrade:
+            first = outcome.failures[0]
+            raise SimulationError(
+                f"campaign unit {first.key} failed: {first.error}"
             )
+        degraded = DegradedResult(
+            nodes=tuple(
+                DegradedNode(
+                    node=f.key, attempts=f.attempts, kind=f.kind, error=f.error
+                )
+                for f in outcome.failures
+            ),
+            n_planned=len(names),
+        )
 
+    by_name = dict(journaled)
+    for name, value in zip(remaining, outcome.values):
+        if value is not None:
+            by_name[name] = value
+    results = [by_name[name] for name in names if name in by_name]
     tracks = {result.node: result.track for result in results}
     n_observations = sum(result.n_observations for result in results)
 
@@ -877,37 +742,21 @@ def run_campaign(
         ctx.plans, tracks, config, ctx.rngs.get("catalogue/resolve")
     )
     n_observations += len(catalogue_obs)
-
+    sink.append_batch(
+        {"catalogue": RecordColumns.from_records(ctx.render(catalogue_obs))}
+    )
+    ledger = set(sink.committed_batches)
+    missing = sorted(name for name in tracks if f"unit:{name}" not in ledger)
+    if missing:
+        raise CheckpointError(
+            f"streamed archive {stream_to} is missing "
+            f"{len(missing)} committed units (e.g. {missing[:3]}); "
+            "the stream and journal have diverged"
+        )
     if stream_to is not None:
-        from ..core.errors import CheckpointError
-        from ..logs.columnar import RecordColumns
-        from ..logs.ingest import LiveArchive
-
-        live = LiveArchive.open(stream_to)
-        live.append_batch(
-            {"catalogue": RecordColumns.from_records(ctx.render(catalogue_obs))}
-        )
-        ledger = set(live.committed_batches)
-        missing = sorted(
-            name for name in tracks if f"unit:{name}" not in ledger
-        )
-        if missing:
-            raise CheckpointError(
-                f"streamed archive {stream_to} is missing "
-                f"{len(missing)} committed units (e.g. {missing[:3]}); "
-                "the stream and journal have diverged"
-            )
-        archive: LogArchive | ColumnarArchive = ColumnarArchive.load(
-            stream_to, lazy=True
-        )
+        archive = ColumnarArchive.load(stream_to, lazy=True)
     else:
-        archive = LogArchive()
-        for result in results:
-            archive.extend(result.records)
-        archive.extend(ctx.render(catalogue_obs))
-        for result in results:
-            archive.extend(result.lifecycle)
-        archive.sort()
+        archive = sink.archive()
 
     wall = time.perf_counter() - t_begin
     node_seconds = {result.node: result.seconds for result in results}
@@ -920,10 +769,10 @@ def run_campaign(
         n_observations=n_observations,
         n_nodes=len(names),
         node_seconds=node_seconds,
-        n_retries=n_retries,
-        n_timeouts=n_timeouts,
-        n_pool_rebuilds=n_pool_rebuilds,
-        n_resumed=n_resumed,
+        n_retries=outcome.n_retries,
+        n_timeouts=outcome.n_timeouts,
+        n_pool_rebuilds=outcome.n_pool_rebuilds,
+        n_resumed=len(journaled),
         n_degraded=0 if degraded is None else degraded.n_failed,
     )
 

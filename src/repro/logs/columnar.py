@@ -27,6 +27,7 @@ reference parser raises.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
@@ -205,39 +206,6 @@ class RecordColumns:
                     f"unknown record type {type(record).__name__}"
                 )
         return staging.build()
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        """Every array column by name (``node_names`` travels separately).
-
-        The serialization view used by the shard-arena handoff: the
-        arrays spill to per-unit ``.npy`` files and
-        :meth:`from_arrays` rebuilds the columns from their
-        memory-mapped twins.
-        """
-        arrays = {name: getattr(self, name) for name in SHARD_COLUMNS}
-        arrays["node_code"] = self.node_code
-        return arrays
-
-    @classmethod
-    def from_arrays(
-        cls,
-        arrays: dict[str, np.ndarray],
-        node_names: Sequence[str],
-    ) -> "RecordColumns":
-        """Rebuild columns from :meth:`to_arrays` output.
-
-        Accepts memory-mapped arrays unchanged when the dtype already
-        matches (``np.asarray`` is a no-copy view then), so a claimed
-        shard stays zero-copy until its rows are actually consumed.
-        """
-        return cls(
-            **{
-                name: np.asarray(arrays[name], dtype=dt)
-                for name, dt in SHARD_COLUMNS.items()
-            },
-            node_code=np.asarray(arrays["node_code"], dtype=np.int32),
-            node_names=list(node_names),
-        )
 
     @classmethod
     def concat(cls, parts: Sequence["RecordColumns"]) -> "RecordColumns":
@@ -1093,11 +1061,6 @@ def read_log_file(
     )
 
 
-def _ingest_file(path_str: str) -> RecordColumns:
-    """Module-level per-file work unit (picklable for the process backend)."""
-    return read_log_file(path_str)
-
-
 # ---------------------------------------------------------------------------
 # Canonical record order
 # ---------------------------------------------------------------------------
@@ -1347,21 +1310,15 @@ class ColumnarArchive:
         the reference reader), so node order — and therefore every
         downstream frame — is deterministic regardless of backend.
         """
-        from ..parallel import parallel_map, resolve_backend, resolve_workers
+        from ..parallel import parallel_map
         from .store import directory_log_files
 
-        files = directory_log_files(path)
-        n_workers = resolve_workers(workers)
-        exec_backend = resolve_backend(backend, n_workers)
-        if batch_lines == DEFAULT_BATCH_LINES:
-            parts = parallel_map(
-                _ingest_file,
-                [str(p) for p in files],
-                backend=exec_backend,
-                workers=n_workers,
-            )
-        else:
-            parts = [read_log_file(p, batch_lines) for p in files]
+        parts = parallel_map(
+            functools.partial(read_log_file, batch_lines=batch_lines),
+            [str(p) for p in directory_log_files(path)],
+            backend=backend or "auto",
+            workers=workers,
+        )
         merged = RecordColumns.concat(parts)
         return cls(merged.split_by_node())
 

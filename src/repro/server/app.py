@@ -694,6 +694,10 @@ class TelemetryServer:
         return payload
 
     async def _node_errors(self, node: str, query_string: str) -> dict:
+        # fingerprint() first, as in _health: on a live archive it
+        # re-reads a replaced manifest, so nodes committed since the last
+        # query are known.  SourceUnavailableError maps to 503 as on /query.
+        self.engine.source.fingerprint()
         known = {s.node for s in self.engine.source.shards()}
         if node not in known:
             raise _HttpError(404, f"unknown node {node!r}")

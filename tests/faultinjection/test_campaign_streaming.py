@@ -16,6 +16,7 @@ more than one flush window of records.  These tests pin:
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
@@ -32,7 +33,7 @@ def rendering_of_columnar(directory, out) -> dict[str, str]:
 
 
 def rendering_of_batch(result, out) -> dict[str, str]:
-    result.archive.write_directory(out)
+    result.archive.write_text_directory(out)
     return {p.name: p.read_text() for p in out.glob("*.log")}
 
 
@@ -69,6 +70,21 @@ class TestStreamedParity:
         ledger = set(live.committed_batches)
         assert "catalogue" in ledger
         assert {f"unit:{name}" for name in result.tracks} <= ledger
+
+    def test_process_stream_matches_serial(
+        self, quick_campaign, tmp_path
+    ):
+        result = run_campaign(
+            quick_campaign_config(),
+            stream_to=tmp_path / "streamed",
+            backend="process",
+            workers=2,
+        )
+        a, b = result.raw_frame(), quick_campaign.raw_frame()
+        assert a.node_names == b.node_names
+        for name in ("time_hours", "node_code", "expected", "actual",
+                     "virtual_address", "physical_page", "repeat_count"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_compaction_preserves_the_streamed_archive(
         self, quick_campaign, streamed, tmp_path

@@ -224,6 +224,11 @@ class TestBatchParser:
         )
         assert threaded.nodes == serial.nodes
         assert_frames_identical(serial.error_frame(), threaded.error_frame())
+        batched = ColumnarArchive.read_text_directory(
+            tmp_path, workers=4, backend="thread", batch_lines=100
+        )
+        assert batched.nodes == serial.nodes
+        assert_frames_identical(serial.error_frame(), batched.error_frame())
 
 
 class TestMalformedText:

@@ -148,3 +148,16 @@ class TestServerSeesIngest:
             assert metrics["cache"]["invalidations"] >= 1
         finally:
             handle.stop()
+
+    def test_node_errors_sees_nodes_committed_after_the_last_query(self, live):
+        server = TelemetryServer(live.directory, max_concurrency=2)
+        handle = run_in_thread(server)
+        try:
+            self.http_post(handle.address + "/query", ERRORS_BY_NODE.to_dict())
+            live.append_batch({"b1": node_batch("01-02", n_errors=3, t0=60.0)})
+
+            payload = self.http_get(handle.address + "/nodes/01-02/errors")
+            assert payload["node"] == "01-02"
+            assert payload["n_rows"] == 3
+        finally:
+            handle.stop()

@@ -91,8 +91,8 @@ class TestSeedSensitivity:
         results = [
             _simulate_node(_CampaignContext(config), name) for _ in range(2)
         ]
-        assert [format_record(r) for r in results[0].records] == [
-            format_record(r) for r in results[1].records
+        assert [format_record(r) for r in results[0].columns.to_records()] == [
+            format_record(r) for r in results[1].columns.to_records()
         ]
         assert np.array_equal(results[0].track.starts, results[1].track.starts)
         assert results[0].n_observations == results[1].n_observations
